@@ -93,11 +93,28 @@ type routerOptions struct {
 	standbyEveryMS  float64
 	crashAfterDrain bool
 	crashAtRound    int
+
+	// drill is the -kill-shard/-migrate schedule, filled in by validate.
+	drill drill
+}
+
+// slotAny marks a drill slot resolved at the round it fires: "max" (the
+// spawned shard owning the most tenants) for -kill-shard, "other" (a live
+// shard not owning the tenant) for -migrate.
+const slotAny = -1
+
+// drill is the scripted chaos and migration schedule. Rounds are 1-based,
+// so the zero value schedules nothing.
+type drill struct {
+	killSlot, killRound int
+	migTenant           string
+	migRound, migSlot   int
 }
 
 // validate rejects contradictory flag combinations before any process is
-// spawned — the router-side twin of grafd's own flag validation.
-func (o routerOptions) validate() error {
+// spawned — the router-side twin of grafd's own flag validation — and parses
+// -kill-shard and -migrate into o.drill.
+func (o *routerOptions) validate() error {
 	if o.model == "" {
 		return fmt.Errorf("need -model <path> (every shard process loads the same artifact)")
 	}
@@ -155,7 +172,56 @@ func (o routerOptions) validate() error {
 	if _, err := rpc.ParseBrownout(o.brownout); err != nil {
 		return fmt.Errorf("-brownout: %v", err)
 	}
+	d, err := o.parseDrill(takeover)
+	if err != nil {
+		return err
+	}
+	o.drill = d
 	return nil
+}
+
+// parseDrill parses -kill-shard slot@round and -migrate tenant@round:slot.
+// Slots are checked against the spawned or attached shard count; a
+// resumed or standby router learns its shard set from the durable state,
+// so its migration slot is checked when the migration runs instead.
+func (o *routerOptions) parseDrill(takeover bool) (drill, error) {
+	var d drill
+	slots := o.spawn
+	if o.shards != "" {
+		slots = len(strings.Split(o.shards, ","))
+	}
+	if o.killShard != "" {
+		slotS, round, err := parseAt(o.killShard)
+		if err != nil {
+			return drill{}, fmt.Errorf("-kill-shard %v", err)
+		}
+		d.killSlot, d.killRound = slotAny, round
+		if slotS != "max" {
+			slot, err := strconv.Atoi(slotS)
+			if err != nil || slot < 0 || slot >= slots {
+				return drill{}, fmt.Errorf("-kill-shard slot %q out of range (0..%d, or \"max\")", slotS, slots-1)
+			}
+			d.killSlot = slot
+		}
+	}
+	if o.migrate != "" {
+		// Move `tenant` onto shard slot `slot` at the start of `round`.
+		tenant, tail, ok := strings.Cut(o.migrate, "@")
+		roundS, slotS, ok2 := strings.Cut(tail, ":")
+		round, errR := strconv.Atoi(roundS)
+		if !ok || !ok2 || errR != nil || round <= 0 || tenant == "" {
+			return drill{}, fmt.Errorf("-migrate %q: want tenant@round:slot (e.g. tenant-03@5:1, or :other for any non-owning shard)", o.migrate)
+		}
+		d.migTenant, d.migRound, d.migSlot = tenant, round, slotAny
+		if slotS != "other" {
+			slot, err := strconv.Atoi(slotS)
+			if err != nil || slot < 0 || (!takeover && slot >= slots) {
+				return drill{}, fmt.Errorf("-migrate slot %q out of range (0..%d, or \"other\")", slotS, slots-1)
+			}
+			d.migSlot = slot
+		}
+	}
+	return d, nil
 }
 
 // shardProc is one spawned grafd -shard child.
@@ -460,58 +526,6 @@ func run(o routerOptions) int {
 	// durable state and rebuilt by ResumeRouter.
 	takeover := o.resume || o.standby != ""
 
-	// Parse the chaos/migration schedules now that slots exist. Slot "max"
-	// resolves at kill time to the spawned shard owning the most tenants —
-	// the drill then always has something to recover, whatever the ring
-	// happened to decide.
-	killSlot, killRound := -1, -1
-	const killSlotMax = -2
-	if o.killShard != "" {
-		slotS, round, err := parseAt(o.killShard)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "grafrouter: -kill-shard %v\n", err)
-			return 2
-		}
-		if slotS == "max" {
-			killSlot = killSlotMax
-		} else {
-			slot, err := strconv.Atoi(slotS)
-			if err != nil || slot < 0 || slot >= len(addrs) {
-				fmt.Fprintf(os.Stderr, "grafrouter: -kill-shard slot %q out of range (0..%d, or \"max\")\n", slotS, len(addrs)-1)
-				return 2
-			}
-			killSlot = slot
-		}
-		killRound = round
-	}
-	migTenant, migRound, migSlot := "", -1, -1
-	if o.migrate != "" {
-		// Format: tenant@round:slot — move `tenant` at the start of `round`
-		// onto shard slot `slot`.
-		tenant, tail, ok := strings.Cut(o.migrate, "@")
-		roundS, slotS, ok2 := strings.Cut(tail, ":")
-		round, errR := strconv.Atoi(roundS)
-		if !ok || !ok2 || errR != nil || round <= 0 {
-			fmt.Fprintf(os.Stderr, "grafrouter: -migrate %q: want tenant@round:slot (e.g. tenant-03@5:1, or :other for any non-owning shard)\n", o.migrate)
-			return 2
-		}
-		if slotS == "other" {
-			// Resolved at migration time to a live shard that does not
-			// currently own the tenant — the drill is never a no-op.
-			migSlot = -2
-		} else {
-			slot, errS := strconv.Atoi(slotS)
-			// A resumed/standby router learns its shard set from the durable
-			// state, so the upper bound is checked at migration time instead.
-			if errS != nil || slot < 0 || (!takeover && slot >= len(addrs)) {
-				fmt.Fprintf(os.Stderr, "grafrouter: -migrate slot %q out of range (0..%d, or \"other\")\n", slotS, len(addrs)-1)
-				return 2
-			}
-			migSlot = slot
-		}
-		migTenant, migRound = tenant, round
-	}
-
 	// The chaos schedule: optional wire faults keyed by the router's round
 	// clock and a fixed seed — replayable. (The scripted SIGKILL is driver
 	// work, performed in the round loop below.)
@@ -673,9 +687,12 @@ func run(o routerOptions) int {
 			fmt.Printf("router: CRASH — self-SIGKILL at round %d\n", round)
 			syscall.Kill(os.Getpid(), syscall.SIGKILL)
 		}
-		if killRound == round {
-			slot := killSlot
-			if slot == killSlotMax {
+		if o.drill.killRound == round {
+			// Slot "max" resolves now to the spawned shard owning the
+			// most tenants, so the drill always has something to recover,
+			// whatever the ring happened to decide.
+			slot := o.drill.killSlot
+			if slot == slotAny {
 				owners := map[string]int{}
 				for _, id := range cfg.Tenants {
 					owners[r.Owner(id)]++
@@ -699,9 +716,10 @@ func run(o routerOptions) int {
 				p.kill()
 			}
 		}
-		if migRound == round && migTenant != "" {
-			slot := migSlot
-			if slot == -2 {
+		if o.drill.migRound == round && o.drill.migTenant != "" {
+			migTenant := o.drill.migTenant
+			slot := o.drill.migSlot
+			if slot == slotAny {
 				cur := r.Owner(migTenant)
 				for _, si := range r.Shards() {
 					if si.Alive && si.Addr != cur {

@@ -93,11 +93,13 @@ type instance struct {
 	readyAt   float64
 }
 
+// job is one queued attempt of a call. It is also the attempt's
+// queue-timeout event handler.
 type job struct {
+	run        *callRun
 	enqueuedAt float64
 	started    bool // dispatched to an instance
 	dead       bool // timed out while queued; dispatch must skip it
-	exec       func(inst *instance, queued float64)
 }
 
 // Deployment is one microservice's replica set.
@@ -105,7 +107,8 @@ type Deployment struct {
 	Service app.Service
 
 	cl        *Cluster
-	queue     []*job
+	queue     []*job // FIFO: queue[qhead:] are waiting
+	qhead     int
 	instances []*instance
 	nextID    int
 
@@ -151,6 +154,7 @@ type Cluster struct {
 	e2e         map[string]*metrics.Window // end-to-end latency per API
 	e2eAll      *metrics.Window            // end-to-end latency, all APIs
 	apiArrivals map[string]*metrics.Window // frontend arrivals per API
+	maxSpans    map[string]int             // spans in one fault-free request per API
 
 	nextTraceID  int64
 	inFlight     int
@@ -206,9 +210,11 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 		c.names = append(c.names, svc.Name)
 	}
 	c.apiArrivals = make(map[string]*metrics.Window)
+	c.maxSpans = make(map[string]int)
 	for _, api := range a.APIs {
 		c.e2e[api.Name] = metrics.NewWindow()
 		c.apiArrivals[api.Name] = metrics.NewWindow()
+		c.maxSpans[api.Name] = spanCount(api.Root)
 	}
 	return c
 }
@@ -427,8 +433,24 @@ func (d *Deployment) enqueue(j *job) {
 	if d.telemetryOn() {
 		d.arrivals.Add(d.cl.Eng.Now(), 1)
 	}
+	if d.qhead > 0 && len(d.queue) == cap(d.queue) {
+		// Reclaim the consumed head before append would grow the buffer.
+		n := copy(d.queue, d.queue[d.qhead:])
+		clear(d.queue[n:])
+		d.queue, d.qhead = d.queue[:n], 0
+	}
 	d.queue = append(d.queue, j)
 	d.dispatch()
+}
+
+// popJob removes the head of the queue. An emptied queue rewinds to the
+// start of its buffer, so a steady state reuses one buffer.
+func (d *Deployment) popJob() {
+	d.queue[d.qhead] = nil
+	d.qhead++
+	if d.qhead == len(d.queue) {
+		d.queue, d.qhead = d.queue[:0], 0
+	}
 }
 
 func (d *Deployment) freeInstance() *instance {
@@ -441,20 +463,20 @@ func (d *Deployment) freeInstance() *instance {
 }
 
 func (d *Deployment) dispatch() {
-	for len(d.queue) > 0 {
-		j := d.queue[0]
+	for d.qhead < len(d.queue) {
+		j := d.queue[d.qhead]
 		if j.dead {
-			d.queue = d.queue[1:]
+			d.popJob()
 			continue
 		}
 		in := d.freeInstance()
 		if in == nil {
 			return
 		}
-		d.queue = d.queue[1:]
+		d.popJob()
 		in.busy = true
 		j.started = true
-		j.exec(in, d.cl.Eng.Now()-j.enqueuedAt)
+		j.run.serve(in, d.cl.Eng.Now()-j.enqueuedAt)
 	}
 }
 
@@ -766,33 +788,11 @@ func (c *Cluster) Submit(api string, onDone func(latency float64)) {
 		panic(fmt.Sprintf("cluster: unknown API %q", api))
 	}
 	c.nextTraceID++
-	tid := c.nextTraceID
-	start := c.Eng.Now()
-	c.recordArrival(api, start)
-	tr := &trace.Trace{ID: tid, API: api}
+	r := &request{c: c, api: api, start: c.Eng.Now(), onDone: onDone}
+	r.tr = trace.Trace{ID: c.nextTraceID, API: api, Spans: make([]trace.Span, 0, c.maxSpans[api])}
+	c.recordArrival(api, r.start)
 	c.inFlight++
-	c.execCall(ap.Root, api, tid, "", tr, func() {
-		lat := c.Eng.Now() - start
-		if c.frontendTelemetryOn() {
-			c.e2e[api].Add(c.Eng.Now(), lat)
-			c.e2eAll.Add(c.Eng.Now(), lat)
-		}
-		if c.traceDropP > 0 && c.Eng.Rand().Float64() < c.traceDropP {
-			c.droppedTraces++
-		} else {
-			c.traces.Collect(*tr)
-		}
-		if tr.Errors > 0 {
-			c.failedReqs++
-		}
-		c.inFlight--
-		if onDone != nil {
-			onDone(lat)
-		}
-		if c.inFlight == 0 && c.onDoneDrain != nil {
-			c.onDoneDrain()
-		}
-	})
+	r.exec(ap.Root, nil)
 }
 
 // recordArrival stamps one frontend arrival, subject to the telemetry
@@ -812,105 +812,220 @@ func (c *Cluster) recordArrival(api string, at float64) {
 	c.apiArrivals[api].Add(at, 1)
 }
 
-// execCall runs one Call node: Times() sequential repetitions of
-// (queue → service → stages), then done. Each repetition is one RPC at the
-// call layer: a job lost to a crashed instance, or stuck queued past the
-// queue timeout, is retried with exponential backoff up to Cfg.MaxRetries
-// times; exhausted retries fail the call and the request continues
-// degraded (the caller swallows the error), annotated on the trace.
-func (c *Cluster) execCall(call *app.Call, api string, tid int64, parent string, tr *trace.Trace, done func()) {
-	d := c.Deployment(call.Service)
-	reps := call.Times()
-	var runRep func(rep int)
-	runRep = func(rep int) {
-		if rep == reps {
-			done()
-			return
+// spanCount returns the spans one request records through call when no
+// call fails: one per repetition of every node.
+func spanCount(call *app.Call) int {
+	n := 1
+	for _, stage := range call.Stages {
+		for _, child := range stage {
+			n += spanCount(child)
 		}
-		enq := c.Eng.Now()
-		var attempt func(try int)
-		// retryOrFail runs after a failed attempt: backoff-retry while
-		// budget remains, otherwise fail the call. Each attempt fails at
-		// most once (the queue-timeout and crash paths are mutually
-		// exclusive via job.started), so a completed request is never
-		// duplicated by a retry.
-		retryOrFail := func(try int) {
-			d.errors.Add(c.Eng.Now(), 1)
-			if try < c.Cfg.MaxRetries {
-				backoff := c.Cfg.RetryBaseS * math.Pow(2, float64(try))
-				c.Eng.After(backoff, func() { attempt(try + 1) })
-				return
-			}
-			c.failedCalls++
-			tr.Errors++
-			runRep(rep + 1)
-		}
-		attempt = func(try int) {
-			j := &job{enqueuedAt: c.Eng.Now()}
-			j.exec = func(in *instance, queued float64) {
-				svcS, cpuS := d.sampleServiceTime()
-				c.Eng.After(svcS, func() {
-					if in.crashed {
-						// The instance died under the request: its work
-						// and telemetry are lost.
-						retryOrFail(try)
-						return
-					}
-					now := c.Eng.Now()
-					if d.telemetryOn() {
-						d.cpuWork.Add(now, cpuS)
-						d.selfLat.Add(now, queued+svcS)
-					}
-					d.release(in)
-					// Service work done; run stages, then record span.
-					c.runStages(call, 0, api, tid, tr, func() {
-						tr.Spans = append(tr.Spans, trace.Span{
-							TraceID: tid, API: api,
-							Service: call.Service, Parent: parent,
-							Start: enq, End: c.Eng.Now(), Queue: queued,
-						})
-						runRep(rep + 1)
-					})
-				})
-			}
-			if c.Cfg.QueueTimeoutS > 0 {
-				jj := j
-				c.Eng.After(c.Cfg.QueueTimeoutS, func() {
-					if jj.started || jj.dead {
-						return
-					}
-					jj.dead = true
-					retryOrFail(try)
-				})
-			}
-			d.enqueue(j)
-		}
-		attempt(0)
 	}
-	runRep(0)
+	return call.Times() * n
 }
 
-// runStages executes call.Stages[idx:] sequentially; within a stage all
+// request is one in-flight frontend request: the trace its calls build and
+// the caller's completion callback.
+type request struct {
+	c      *Cluster
+	api    string
+	start  float64
+	tr     trace.Trace
+	onDone func(latency float64)
+}
+
+// finish records the request once its root call has returned.
+func (r *request) finish() {
+	c := r.c
+	lat := c.Eng.Now() - r.start
+	if c.frontendTelemetryOn() {
+		c.e2e[r.api].Add(c.Eng.Now(), lat)
+		c.e2eAll.Add(c.Eng.Now(), lat)
+	}
+	if c.traceDropP > 0 && c.Eng.Rand().Float64() < c.traceDropP {
+		c.droppedTraces++
+	} else {
+		c.traces.Collect(r.tr)
+	}
+	if r.tr.Errors > 0 {
+		c.failedReqs++
+	}
+	c.inFlight--
+	if r.onDone != nil {
+		r.onDone(lat)
+	}
+	if c.inFlight == 0 && c.onDoneDrain != nil {
+		c.onDoneDrain()
+	}
+}
+
+// exec starts one Call node of the request; parent is the calling node
+// (nil for the frontend call).
+func (r *request) exec(call *app.Call, parent *callRun) {
+	cr := &callRun{req: r, parent: parent, call: call, d: r.c.Deployment(call.Service)}
+	cr.startRep()
+}
+
+// callRun is the state machine of one Call node: Times() sequential
+// repetitions of (queue → service → stages). Each repetition is one RPC at
+// the call layer: a job lost to a crashed instance, or stuck queued past the
+// queue timeout, is retried with exponential backoff up to Cfg.MaxRetries
+// times; exhausted retries fail the call and the request continues degraded
+// (the caller swallows the error), annotated on the trace.
+//
+// A callRun is the handler of its service-completion and backoff events;
+// each attempt's job handles that attempt's queue timeout. A call has at
+// most one of its own events pending at a time.
+type callRun struct {
+	req    *request
+	parent *callRun // nil for the frontend call
+	call   *app.Call
+	d      *Deployment
+
+	rep     int     // current repetition
+	enq     float64 // when the current repetition first queued
+	try     int     // current attempt within the repetition
+	backoff bool    // the pending event is a retry backoff, not service
+
+	// The attempt being served.
+	in         *instance
+	queued     float64
+	svcS, cpuS float64
+
+	stage     int // stage of call.Stages being run
+	remaining int // children of that stage still out
+}
+
+// startRep begins the next repetition, or returns to the caller after the
+// last one.
+func (cr *callRun) startRep() {
+	if cr.rep == cr.call.Times() {
+		if cr.parent != nil {
+			cr.parent.childDone()
+		} else {
+			cr.req.finish()
+		}
+		return
+	}
+	cr.enq = cr.req.c.Eng.Now()
+	cr.try = 0
+	cr.attempt()
+}
+
+// attempt queues one try of the current repetition.
+func (cr *callRun) attempt() {
+	c := cr.req.c
+	j := &job{run: cr, enqueuedAt: c.Eng.Now()}
+	if c.Cfg.QueueTimeoutS > 0 {
+		c.Eng.AfterHandler(c.Cfg.QueueTimeoutS, j)
+	}
+	cr.d.enqueue(j)
+}
+
+// Fire is the attempt's queue timeout: a job still waiting for an instance
+// fails its attempt.
+func (j *job) Fire() {
+	if j.started || j.dead {
+		return
+	}
+	j.dead = true
+	j.run.retryOrFail()
+}
+
+// serve runs the dispatched attempt on instance in.
+func (cr *callRun) serve(in *instance, queued float64) {
+	cr.in, cr.queued = in, queued
+	cr.svcS, cr.cpuS = cr.d.sampleServiceTime()
+	cr.backoff = false
+	cr.req.c.Eng.AfterHandler(cr.svcS, cr)
+}
+
+// retryOrFail runs after a failed attempt: backoff-retry while budget
+// remains, otherwise fail the call. Each attempt fails at most once (the
+// queue-timeout and crash paths are mutually exclusive via job.started), so
+// a completed request is never duplicated by a retry.
+func (cr *callRun) retryOrFail() {
+	c := cr.req.c
+	cr.d.errors.Add(c.Eng.Now(), 1)
+	if cr.try < c.Cfg.MaxRetries {
+		cr.backoff = true
+		c.Eng.AfterHandler(c.Cfg.RetryBaseS*math.Pow(2, float64(cr.try)), cr)
+		return
+	}
+	c.failedCalls++
+	cr.req.tr.Errors++
+	cr.rep++
+	cr.startRep()
+}
+
+// Fire handles the call's pending event: a backoff that has elapsed, or
+// the end of the attempt's service time.
+func (cr *callRun) Fire() {
+	if cr.backoff {
+		cr.try++
+		cr.attempt()
+		return
+	}
+	if cr.in.crashed {
+		// The instance died under the request: its work and telemetry
+		// are lost.
+		cr.retryOrFail()
+		return
+	}
+	now := cr.req.c.Eng.Now()
+	if cr.d.telemetryOn() {
+		cr.d.cpuWork.Add(now, cr.cpuS)
+		cr.d.selfLat.Add(now, cr.queued+cr.svcS)
+	}
+	cr.d.release(cr.in)
+	cr.in = nil
+	// Service work done; run the stages, then record the span.
+	cr.stage = 0
+	cr.runStages()
+}
+
+// runStages runs call.Stages[cr.stage:] sequentially; within a stage all
 // children run in parallel.
-func (c *Cluster) runStages(call *app.Call, idx int, api string, tid int64, tr *trace.Trace, done func()) {
-	if idx == len(call.Stages) {
-		done()
+func (cr *callRun) runStages() {
+	stages := cr.call.Stages
+	for cr.stage < len(stages) && len(stages[cr.stage]) == 0 {
+		cr.stage++
+	}
+	if cr.stage == len(stages) {
+		cr.endRep()
 		return
 	}
-	stage := call.Stages[idx]
-	if len(stage) == 0 {
-		c.runStages(call, idx+1, api, tid, tr, done)
-		return
-	}
-	remaining := len(stage)
+	stage := stages[cr.stage]
+	cr.remaining = len(stage)
 	for _, child := range stage {
-		c.execCall(child, api, tid, call.Service, tr, func() {
-			remaining--
-			if remaining == 0 {
-				c.runStages(call, idx+1, api, tid, tr, done)
-			}
-		})
+		cr.req.exec(child, cr)
 	}
+}
+
+// childDone is a child call returning; the last one of a stage starts the
+// next stage.
+func (cr *callRun) childDone() {
+	cr.remaining--
+	if cr.remaining == 0 {
+		cr.stage++
+		cr.runStages()
+	}
+}
+
+// endRep records the repetition's span and moves on to the next one.
+func (cr *callRun) endRep() {
+	r := cr.req
+	parent := ""
+	if cr.parent != nil {
+		parent = cr.parent.call.Service
+	}
+	r.tr.Spans = append(r.tr.Spans, trace.Span{
+		TraceID: r.tr.ID, API: r.api,
+		Service: cr.call.Service, Parent: parent,
+		Start: cr.enq, End: r.c.Eng.Now(), Queue: cr.queued,
+	})
+	cr.rep++
+	cr.startRep()
 }
 
 // OnDrain registers fn to run whenever in-flight requests reach zero.

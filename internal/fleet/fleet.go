@@ -62,7 +62,7 @@ type Config struct {
 	// Service parameterizes the shared batched inference service.
 	Service ServiceConfig
 
-	// DisableSharing gives every tenant a private allocating predictor
+	// DisableSharing gives every tenant a private, uncached predictor
 	// instead of the shared batched service — the serial baseline the
 	// fleet benchmark compares against.
 	DisableSharing bool

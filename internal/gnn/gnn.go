@@ -19,6 +19,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"graf/internal/nn"
 )
@@ -59,6 +60,8 @@ type Model struct {
 	phi     []*nn.MLP // per step: message network φ^(k)
 	gamma   []*nn.MLP // per step: update network γ^(k)
 	readout *nn.MLP
+
+	scratch *sync.Pool // *Scratch for Predict and PredictGrad
 }
 
 // New builds a model with freshly initialized weights drawn from rng.
@@ -66,7 +69,7 @@ func New(cfg Config, rng *rand.Rand) *Model {
 	if cfg.Nodes <= 0 || len(cfg.Parents) != cfg.Nodes {
 		panic("gnn: invalid node/parents configuration")
 	}
-	m := &Model{Cfg: cfg}
+	m := &Model{Cfg: cfg, scratch: new(sync.Pool)}
 	const features = 2 // (load, quota)
 	if cfg.UseMPNN {
 		for k := 0; k < cfg.Steps; k++ {
@@ -210,20 +213,34 @@ func (m *Model) backward(st *fwdState, dy float64) (dLoad, dQuota []float64) {
 // Predict returns the model's end-to-end tail-latency estimate in seconds.
 // It is strictly read-only on the model (weights only, no gradient
 // accumulators, no rng), so concurrent Predict calls on one model are safe.
-// Hot paths should hold a Scratch and call PredictWith instead; this
-// convenience allocates a fresh one per call.
+// It borrows a Scratch from the model's pool, so it does not allocate in
+// steady state.
 func (m *Model) Predict(load, quota []float64) float64 {
-	return m.PredictWith(m.NewScratch(), load, quota)
+	s := m.getScratch()
+	y := m.PredictWith(s, load, quota)
+	m.scratch.Put(s)
+	return y
 }
 
 // PredictGrad returns the prediction and its gradient with respect to each
 // node's quota (seconds per millicore) — the ∂L/∂r the configuration solver
-// descends. Like Predict it is read-only and safe for concurrent use; the
-// returned slice is freshly allocated and owned by the caller.
+// descends. Like Predict it is read-only, safe for concurrent use and runs
+// on a pooled Scratch; the returned slice is its only allocation, and it is
+// owned by the caller.
 func (m *Model) PredictGrad(load, quota []float64) (latency float64, dQuota []float64) {
-	s := m.NewScratch()
+	s := m.getScratch()
 	y, dq := m.PredictGradWith(s, load, quota)
-	return y, append([]float64(nil), dq...)
+	dQuota = append([]float64(nil), dq...)
+	m.scratch.Put(s)
+	return y, dQuota
+}
+
+// getScratch takes a Scratch that fits m from the pool, or builds one.
+func (m *Model) getScratch() *Scratch {
+	if s, ok := m.scratch.Get().(*Scratch); ok && s.fits(m) {
+		return s
+	}
+	return m.NewScratch()
 }
 
 func (m *Model) params() []*nn.Linear {

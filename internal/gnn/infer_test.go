@@ -102,7 +102,8 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 
 // Predict/PredictGrad must be safe to hammer from many goroutines on one
 // model: the inference path may not touch gradient accumulators, tapes, or
-// any other shared mutable state. Run with -race.
+// any shared mutable state other than the model's scratch pool. Run with
+// -race.
 func TestConcurrentInferenceIsReadOnly(t *testing.T) {
 	m := testModel(t, true)
 	rng := rand.New(rand.NewSource(21))
@@ -152,6 +153,20 @@ func TestConcurrentInferenceIsReadOnly(t *testing.T) {
 							return
 						}
 					}
+					// The pooled path: its gradient is a copy the caller
+					// owns, untouched by the scratch's next user.
+					y, dq = m.PredictGrad(loads[i], quotas[i])
+					m.Predict(loads[(i+1)%inputs], quotas[(i+1)%inputs])
+					if y != wantY[i] {
+						errs <- "concurrent PredictGrad y diverged"
+						return
+					}
+					for d := range dq {
+						if dq[d] != wantDQ[i][d] {
+							errs <- "concurrent PredictGrad dq diverged"
+							return
+						}
+					}
 				}
 			}
 		}(g)
@@ -163,8 +178,8 @@ func TestConcurrentInferenceIsReadOnly(t *testing.T) {
 	}
 }
 
-// --- Perf baseline (satellite): the fleet's win comes from killing the
-// per-call allocations of the historical inference path. ---
+// --- Perf baseline: the convenience calls on the model's pooled Scratch
+// against a caller-held Scratch. ---
 
 func benchInputs() (*Model, []float64, []float64) {
 	parents := [][]int{{}, {0}, {0}, {1, 2}, {3}, {3}, {4, 5}, {6}, {6}, {7, 8}}

@@ -90,6 +90,7 @@ func (l *Linear) ForwardInto(x, y []float64) {
 	for o := 0; o < l.Out; o++ {
 		sum := l.B[o]
 		row := l.W[o*l.In : (o+1)*l.In]
+		row = row[:len(x)] // lets the compiler drop the bounds check below
 		for i, xi := range x {
 			sum += row[i] * xi
 		}
@@ -102,6 +103,11 @@ func (l *Linear) ForwardInto(x, y []float64) {
 // read-only half of Backward: it needs neither the forward input x nor any
 // mutable layer state, so concurrent invocations on one layer are safe. The
 // accumulation order matches Backward's dx computation exactly.
+//
+// Rows whose upstream gradient is exactly zero — about half of them behind
+// a ReLU — are skipped. That leaves dx bit-identical to the dense loop: with
+// finite weights such a row only adds ±0 terms, and an accumulator that
+// starts at +0 can never become −0, so adding ±0 never changes it.
 func (l *Linear) InputGrad(dy, dx []float64) {
 	if len(dy) != l.Out || len(dx) != l.In {
 		panic(fmt.Sprintf("nn: Linear(%d,%d) InputGrad got dy=%d dx=%d", l.In, l.Out, len(dy), len(dx)))
@@ -111,7 +117,11 @@ func (l *Linear) InputGrad(dy, dx []float64) {
 	}
 	for o := 0; o < l.Out; o++ {
 		g := dy[o]
+		if g == 0 {
+			continue
+		}
 		row := l.W[o*l.In : (o+1)*l.In]
+		row = row[:len(dx)]
 		for i := range dx {
 			dx[i] += row[i] * g
 		}

@@ -254,3 +254,45 @@ func TestAsymmetricLossBiasesUp(t *testing.T) {
 		t.Errorf("asymmetric loss prediction %v should sit above the median %v", y[0], med)
 	}
 }
+
+// InputGrad skips rows whose upstream gradient is zero; the result must
+// equal the dense Wᵀ·dy loop bit for bit, including the sign of zeros.
+func TestInputGradSparseMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		in, out := 1+rng.Intn(24), 1+rng.Intn(24)
+		l := NewLinear(in, out, rng)
+		dy := make([]float64, out)
+		for o := range dy {
+			switch r := rng.Float64(); {
+			case r < 0.4:
+				dy[o] = 0
+			case r < 0.5:
+				dy[o] = math.Copysign(0, -1)
+			case r < 0.55:
+				// Products underflow to ±0 or a subnormal.
+				dy[o] = math.SmallestNonzeroFloat64 * float64(rng.Intn(5)-2)
+			default:
+				dy[o] = rng.NormFloat64()
+			}
+		}
+		dense := make([]float64, in)
+		for o := 0; o < out; o++ {
+			row := l.W[o*in : (o+1)*in]
+			for i := range dense {
+				dense[i] += row[i] * dy[o]
+			}
+		}
+		got := make([]float64, in)
+		for i := range got {
+			got[i] = math.NaN() // InputGrad must overwrite, not accumulate
+		}
+		l.InputGrad(dy, got)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(dense[i]) {
+				t.Fatalf("trial %d: dx[%d] = %v (%#x), dense loop %v (%#x)",
+					trial, i, got[i], math.Float64bits(got[i]), dense[i], math.Float64bits(dense[i]))
+			}
+		}
+	}
+}

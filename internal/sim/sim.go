@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -19,43 +18,45 @@ type Clock interface {
 	Now() float64
 }
 
-// Event is a scheduled callback.
+// Handler is an event target scheduled without a closure: the engine calls
+// Fire when the event comes due. A long-lived state machine that implements
+// Handler on a pointer receiver schedules its events without allocating.
+type Handler interface {
+	Fire()
+}
+
+// event is one scheduled callback: fn, or h when fn is nil. Events are
+// recycled through the engine's free list once they fire or are drained.
 type event struct {
 	at   float64
 	seq  uint64
 	fn   func()
+	h    Handler
 	dead bool
 }
 
-// EventID identifies a scheduled event so it can be cancelled.
-type EventID struct{ e *event }
+// EventID identifies a scheduled event so it can be cancelled. It carries
+// the event's sequence number as a generation: events are recycled, and a
+// stale EventID whose event has since been reused no longer matches.
+type EventID struct {
+	e   *event
+	seq uint64
+}
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (id EventID) Cancel() {
-	if id.e != nil {
+	if id.e != nil && id.e.seq == id.seq {
 		id.e.dead = true
 	}
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before orders events by time, then by scheduling order.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Engine is a single-threaded discrete-event simulator.
@@ -66,7 +67,8 @@ func (q *eventQueue) Pop() any {
 type Engine struct {
 	now    float64
 	seq    uint64
-	queue  eventQueue
+	queue  []*event // binary min-heap on (at, seq)
+	free   []*event // recycled events
 	rng    *rand.Rand
 	halted bool
 }
@@ -89,30 +91,113 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // past panics: it indicates a logic error in the caller, and silently
 // clamping would corrupt causality.
 func (e *Engine) At(t float64, fn func()) EventID {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %.6f before now %.6f", t, e.now))
-	}
-	ev := &event{at: t, seq: e.seq, fn: fn}
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return EventID{e: ev}
+	return e.schedule(t, fn, nil)
 }
 
 // After schedules fn to run d seconds from now. Negative delays panic.
 func (e *Engine) After(d float64, fn func()) EventID {
-	return e.At(e.now+d, fn)
+	return e.schedule(e.now+d, fn, nil)
+}
+
+// AfterHandler schedules h.Fire d seconds from now. It shares At's
+// sequence numbers, so handler and callback events due at the same instant
+// fire in scheduling order.
+func (e *Engine) AfterHandler(d float64, h Handler) EventID {
+	return e.schedule(e.now+d, nil, h)
+}
+
+func (e *Engine) schedule(t float64, fn func(), h Handler) EventID {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %.6f before now %.6f", t, e.now))
+	}
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	*ev = event{at: t, seq: e.seq, fn: fn, h: h}
+	e.seq++
+	e.push(ev)
+	return EventID{e: ev, seq: ev.seq}
+}
+
+// push adds ev to the heap (container/heap's Push, without the interface
+// calls).
+func (e *Engine) push(ev *event) {
+	q := append(e.queue, ev)
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !ev.before(q[i]) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = ev
+	e.queue = q
+}
+
+// pop removes and returns the earliest event (container/heap's Pop).
+func (e *Engine) pop() *event {
+	q := e.queue
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			j := 2*i + 1
+			if j >= n {
+				break
+			}
+			if r := j + 1; r < n && q[r].before(q[j]) {
+				j = r
+			}
+			if !q[j].before(last) {
+				break
+			}
+			q[i] = q[j]
+			i = j
+		}
+		q[i] = last
+	}
+	e.queue = q
+	return top
+}
+
+// fire advances the clock to ev, recycles it and runs its callback. The
+// event is recycled first, so the callback may schedule into it.
+func (e *Engine) fire(ev *event) {
+	e.now = ev.at
+	fn, h := ev.fn, ev.h
+	e.recycle(ev)
+	if fn != nil {
+		fn()
+	} else {
+		h.Fire()
+	}
+}
+
+func (e *Engine) recycle(ev *event) {
+	ev.fn, ev.h = nil, nil
+	e.free = append(e.free, ev)
 }
 
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
+		ev := e.pop()
 		if ev.dead {
+			e.recycle(ev)
 			continue
 		}
-		e.now = ev.at
-		ev.fn()
+		e.fire(ev)
 		return true
 	}
 	return false
@@ -123,18 +208,15 @@ func (e *Engine) Step() bool {
 // then advanced to t so subsequent scheduling is relative to t.
 func (e *Engine) RunUntil(t float64) {
 	for len(e.queue) > 0 && !e.halted {
-		// Peek.
 		next := e.queue[0]
 		if next.dead {
-			heap.Pop(&e.queue)
+			e.recycle(e.pop())
 			continue
 		}
 		if next.at > t {
 			break
 		}
-		heap.Pop(&e.queue)
-		e.now = next.at
-		next.fn()
+		e.fire(e.pop())
 	}
 	if t > e.now {
 		e.now = t

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -164,29 +163,156 @@ func TestHalt(t *testing.T) {
 	}
 }
 
-// Property: however events are scheduled, they fire in nondecreasing time
-// order and the clock matches each event's scheduled time.
+// fired records one event firing: its scheduled time and its scheduling
+// order k.
+type fired struct {
+	at float64
+	k  int
+}
+
+// orderHandler is a Handler event of the order property test.
+type orderHandler struct {
+	fire func()
+}
+
+func (h *orderHandler) Fire() { h.fire() }
+
+// Property: however events are scheduled — closures and Handlers mixed,
+// many at equal times, more scheduled from inside firing events, some
+// cancelled — every live event fires exactly once, with the clock at its
+// scheduled time, in exact (time, scheduling order) order.
 func TestEventOrderProperty(t *testing.T) {
 	f := func(seed int64, raw []uint16) bool {
 		if len(raw) > 200 {
 			raw = raw[:200]
 		}
 		e := NewEngine(seed)
-		var fired []float64
-		for _, r := range raw {
-			at := float64(r) / 100
-			e.At(at, func() {
+		var got []fired
+		var ids []EventID
+		done := map[int]bool{}      // fired so far
+		cancelled := map[int]bool{} // cancelled before firing
+		k := 0
+		var schedule func(at float64, r uint16)
+		schedule = func(at float64, r uint16) {
+			me := k
+			k++
+			fire := func() {
 				if e.Now() != at {
-					t.Errorf("clock %v != scheduled %v", e.Now(), at)
+					t.Errorf("event %d: clock %v != scheduled %v", me, e.Now(), at)
 				}
-				fired = append(fired, at)
-			})
+				if done[me] {
+					t.Errorf("event %d fired twice", me)
+				}
+				got = append(got, fired{at, me})
+				done[me] = true
+				if r&0x30 == 0x30 && k < 400 {
+					// Schedule a follow-up, often at this very instant.
+					schedule(at+float64(r>>8&1), r>>1)
+				}
+				if r&0x40 != 0 && len(ids) > 0 {
+					// Cancel an event: a pending one must never fire;
+					// a fired one's ID is stale and must not touch the
+					// event that reused its slot.
+					victim := int(r>>7) % len(ids)
+					ids[victim].Cancel()
+					if !done[victim] {
+						cancelled[victim] = true
+					}
+				}
+			}
+			var id EventID
+			if r&1 == 0 {
+				id = e.At(at, fire)
+			} else {
+				id = e.AfterHandler(at-e.Now(), &orderHandler{fire: fire})
+			}
+			ids = append(ids, id)
+		}
+		for _, r := range raw {
+			schedule(float64(r%8), r)
 		}
 		e.Run()
-		return sort.Float64sAreSorted(fired) && len(fired) == len(raw)
+		for i := 1; i < len(got); i++ {
+			a, b := got[i-1], got[i]
+			if a.at > b.at || (a.at == b.at && a.k >= b.k) {
+				t.Errorf("event %d (t=%v) fired after event %d (t=%v)", b.k, b.at, a.k, a.at)
+				return false
+			}
+		}
+		for i := 0; i < k; i++ {
+			if done[i] == cancelled[i] {
+				t.Errorf("event %d: fired %v, cancelled while pending %v", i, done[i], cancelled[i])
+				return false
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(7))}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(7))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Events are recycled once fired; an EventID kept from the old use must
+// not cancel the new event that reuses the slot.
+func TestStaleCancelAfterReuse(t *testing.T) {
+	e := NewEngine(1)
+	stale := e.At(1, func() {})
+	e.Run()
+	fired := false
+	id := e.At(2, func() { fired = true })
+	if id.e != stale.e {
+		t.Fatal("the fired event's slot was not reused; the test proves nothing")
+	}
+	stale.Cancel()
+	e.Run()
+	if !fired {
+		t.Error("a stale Cancel cancelled the event that reused its slot")
+	}
+
+	// The same from inside the callback: it reschedules (taking its own
+	// slot back) and then cancels its own, already-fired, ID.
+	var self EventID
+	n := 0
+	self = e.At(3, func() {
+		e.After(1, func() { n++ })
+		self.Cancel()
+	})
+	e.Run()
+	if n != 1 {
+		t.Errorf("follow-up fired %d times after its parent cancelled itself, want 1", n)
+	}
+
+	// A cancelled event is recycled when drained; its ID stays inert.
+	dead := e.At(10, func() { t.Error("cancelled event fired") })
+	dead.Cancel()
+	e.Run()
+	fired = false
+	e.At(11, func() { fired = true })
+	dead.Cancel()
+	e.Run()
+	if !fired {
+		t.Error("cancelling a drained event twice cancelled its successor")
+	}
+}
+
+// Handler events share At's sequence numbers: same-instant events fire in
+// scheduling order whichever entry point scheduled them.
+func TestHandlerInterleavesWithAt(t *testing.T) {
+	e := NewEngine(1)
+	var got []int
+	for i := 0; i < 6; i++ {
+		i := i
+		if i%2 == 0 {
+			e.At(5, func() { got = append(got, i) })
+		} else {
+			e.AfterHandler(5, &orderHandler{fire: func() { got = append(got, i) }})
+		}
+	}
+	e.Run()
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("same-time events fired as %v, want 0..5 in order", got)
+		}
 	}
 }
 

@@ -87,25 +87,40 @@ func (g *OpenLoop) next() {
 	rate := g.Rate(g.Eng.Now())
 	if rate <= 0 {
 		// Re-check for a live rate shortly (rate shapes may resume).
-		g.Eng.After(0.1, g.next)
+		g.Eng.AfterHandler(0.1, (*recheckEvent)(g))
 		return
 	}
 	gap := g.Eng.Rand().ExpFloat64() / rate
 	if gap > 10 {
 		gap = 10
 	}
-	g.Eng.After(gap, func() {
-		if g.stopped {
-			return
-		}
-		api := g.API
-		if api == "" {
-			api = g.pick.pick(g.Eng)
-		}
-		g.Cluster.Submit(api, nil)
-		g.next()
-	})
+	g.Eng.AfterHandler(gap, (*arrivalEvent)(g))
 }
+
+// arrivalEvent and recheckEvent are the generator's two event kinds: the
+// OpenLoop itself under another method set, so scheduling allocates
+// nothing.
+type (
+	arrivalEvent OpenLoop
+	recheckEvent OpenLoop
+)
+
+// Fire submits one request and draws the next arrival.
+func (e *arrivalEvent) Fire() {
+	g := (*OpenLoop)(e)
+	if g.stopped {
+		return
+	}
+	api := g.API
+	if api == "" {
+		api = g.pick.pick(g.Eng)
+	}
+	g.Cluster.Submit(api, nil)
+	g.next()
+}
+
+// Fire looks at the rate again after an idle spell.
+func (e *recheckEvent) Fire() { (*OpenLoop)(e).next() }
 
 // ConstRate returns a rate function fixed at r.
 func ConstRate(r float64) func(float64) float64 {
